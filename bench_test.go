@@ -219,6 +219,42 @@ func BenchmarkACLAnalysis(b *testing.B) {
 	}
 }
 
+// BenchmarkRegionCompare measures the per-fault region comparison: one fixed
+// CG fault's CompareRegionWith over every region instance its corruption
+// touches, against the index's cached clean graphs (built before timing).
+func BenchmarkRegionCompare(b *testing.B) {
+	an, clean := cleanCG(b)
+	ix, err := an.Index()
+	if err != nil {
+		b.Fatal(err)
+	}
+	faulty, err := ix.FaultyTrace(interp.Fault{Step: midDstStep(b, clean), Bit: 40, Kind: interp.FaultDst})
+	if err != nil {
+		b.Fatal(err)
+	}
+	res := acl.Analyze(faulty, clean)
+	fIdx := trace.NewSpanIndex(faulty)
+	var graphs []*dddg.Graph
+	var spans []trace.Span
+	for _, cs := range ix.Spans() {
+		if fs, ok := fIdx.Instance(cs.RegionID, cs.Instance); ok && res.TouchesSpan(fs) {
+			graphs = append(graphs, ix.Graph(cs))
+			spans = append(spans, fs)
+		}
+	}
+	if len(spans) == 0 {
+		b.Fatal("fault touched no region instance")
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for k, g := range graphs {
+			_ = dddg.CompareRegionWith(g, faulty, spans[k])
+		}
+	}
+	b.ReportMetric(float64(len(spans)), "instances")
+}
+
 func BenchmarkFaultInjectionRun(b *testing.B) {
 	an, clean := cleanCG(b)
 	b.ResetTimer()

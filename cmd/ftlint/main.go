@@ -1,7 +1,7 @@
 // Command ftlint runs FlipTracker's determinism linter (internal/lint) over
 // the engine packages whose outputs are pinned byte-identical across runs —
-// campaign engines, the journal, the trace model, the orchestration layer —
-// and exits nonzero on findings.
+// campaign engines, the journal, the trace model, the orchestration layer,
+// the per-fault analysis — and exits nonzero on findings.
 //
 // Usage:
 //
@@ -31,6 +31,9 @@ var defaultDirs = []string{
 	"internal/irstatic",
 	"internal/coord",
 	"internal/server",
+	"internal/acl",
+	"internal/dddg",
+	"internal/patterns",
 }
 
 func main() {

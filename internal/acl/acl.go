@@ -96,40 +96,17 @@ func (r *Result) MaxSeries() int32 { return r.Peak }
 
 // Options tune the analysis. The zero value is the paper's algorithm.
 type Options struct {
-	// SkipLiveness disables the backward last-use refinement: corrupted
+	// SkipLiveness disables the last-use refinement: corrupted
 	// locations then stay "alive" until overwritten, the conservative
 	// plain-taint behaviour the paper's §IV-B explicitly improves on.
 	// Exposed for the ablation bench called out in DESIGN.md.
 	SkipLiveness bool
 }
 
-// scratch is the pooled per-analysis working set: the read-posting map, the
-// flat arena its lists are carved from, and finishSeries' sweep buffer.
-// Together these were the analysis' dominant allocations (~8MB per fault on
-// MG); pooling reuses them across the faults a campaign worker analyzes.
-// Nothing in a Result aliases scratch memory, so returning one to the pool
-// after the Result is built is safe.
-type scratch struct {
-	readCount map[trace.Loc]int32
-	reads     map[trace.Loc][]int32
-	arena     []int32
-	diff      []int32
-}
-
-var scratchPool = sync.Pool{New: func() any {
-	return &scratch{
-		readCount: map[trace.Loc]int32{},
-		reads:     map[trace.Loc][]int32{},
-	}
-}}
-
-// release clears the maps (retaining their buckets) and returns the scratch
-// to the pool.
-func (sc *scratch) release() {
-	clear(sc.readCount)
-	clear(sc.reads)
-	scratchPool.Put(sc)
-}
+// diffPool holds finishSeries' sweep buffer, one record-length []int32 per
+// analysis (~4 bytes per record); pooling reuses it across the faults a
+// campaign worker analyzes. Nothing in a Result aliases it.
+var diffPool = sync.Pool{New: func() any { return new([]int32) }}
 
 // Analyze runs the ACL construction. faulty and clean must be full traces
 // (TraceFull) of the same program, clean without a fault. The comparison is
@@ -139,7 +116,12 @@ func Analyze(faulty, clean *trace.Trace) *Result {
 	return AnalyzeWith(faulty, clean, Options{})
 }
 
-// AnalyzeWith is Analyze with explicit options.
+// AnalyzeWith is Analyze with explicit options. The analysis is one forward
+// pass over the record columns of both traces. Liveness comes from the same
+// pass: every source read of a tainted location is credited to its open
+// interval as that interval's last read, so no per-location read index is
+// built. An interval an overwrite did not close is open at the trace end,
+// so its last read while tainted is its last read in (Begin, End).
 func AnalyzeWith(faulty, clean *trace.Trace, opts Options) *Result {
 	n := faulty.Recs.Len()
 	res := &Result{
@@ -147,81 +129,39 @@ func AnalyzeWith(faulty, clean *trace.Trace, opts Options) *Result {
 		InjectionIndex:  -1,
 		DivergenceIndex: -1,
 	}
-	sc := scratchPool.Get().(*scratch)
-	defer sc.release()
+	f, c := &faulty.Recs, &clean.Recs
 
-	// Pre-pass: per-location read indices in the faulty trace, for the
-	// liveness computation. Two passes carve the posting lists out of one
-	// pooled arena — counting first, then filling — so the lists cost no
-	// allocations at all once the pool is warm, instead of one growing
-	// slice per location per fault.
-	frecs := &faulty.Recs
-	total := 0
-	for i := 0; i < n; i++ {
-		for s := 0; s < frecs.NSrc(i); s++ {
-			if loc := frecs.Src(i, s); loc != 0 {
-				sc.readCount[loc]++
-				total++
-			}
-		}
-	}
-	if cap(sc.arena) < total {
-		sc.arena = make([]int32, total)
-	}
-	arena := sc.arena[:total]
-	off := 0
-	for loc, cnt := range sc.readCount {
-		sc.reads[loc] = arena[off : off : off+int(cnt)]
-		off += int(cnt)
-	}
-	reads := sc.reads
-	for i := 0; i < n; i++ {
-		for s := 0; s < frecs.NSrc(i); s++ {
-			if loc := frecs.Src(i, s); loc != 0 {
-				reads[loc] = append(reads[loc], int32(i))
-			}
-		}
-	}
-
-	// Forward value-aware taint.
+	// Forward value-aware taint. lastRead[ii] is the last record after
+	// Begin that read interval ii's location while it was open, or -1.
 	tainted := map[trace.Loc]int{} // loc -> interval index (open)
+	var lastRead []int
 	openInterval := func(loc trace.Loc, at int, sid int32) {
 		if _, already := tainted[loc]; already {
 			return
 		}
 		res.Intervals = append(res.Intervals, Interval{Loc: loc, Begin: at, End: n})
+		lastRead = append(lastRead, -1)
 		tainted[loc] = len(res.Intervals) - 1
 		res.Events = append(res.Events, Event{RecIndex: at, Loc: loc, Kind: Corrupted, SID: sid})
 	}
-	closeInterval := func(loc trace.Loc, at int, sid int32, overwrite bool) {
+	closeInterval := func(loc trace.Loc, at int, sid int32) {
 		ii, ok := tainted[loc]
 		if !ok {
 			return
 		}
 		delete(tainted, loc)
 		res.Intervals[ii].End = at
-		res.Intervals[ii].ByOverwrite = overwrite
-		kind := DeadUnused
-		if overwrite {
-			kind = DeadOverwrite
-		}
-		res.Events = append(res.Events, Event{RecIndex: at, Loc: loc, Kind: kind, SID: sid})
+		res.Intervals[ii].ByOverwrite = true
+		res.Events = append(res.Events, Event{RecIndex: at, Loc: loc, Kind: DeadOverwrite, SID: sid})
 	}
 
-	matched := clean.Recs.Len()
-	if n < matched {
-		matched = n
-	}
+	matched := min(c.Len(), n)
 	for i := 0; i < n; i++ {
-		fr := frecs.At(i)
+		sid := f.SID(i)
 		valueAware := res.DivergenceIndex < 0 && i < matched
-		var cr trace.Rec
-		if valueAware {
-			cr = clean.Recs.At(i)
-			if cr.SID != fr.SID {
-				res.DivergenceIndex = i
-				valueAware = false
-			}
+		if valueAware && c.SID(i) != sid {
+			res.DivergenceIndex = i
+			valueAware = false
 		}
 
 		// Detect corrupted sources. With value-awareness, a source whose
@@ -229,17 +169,20 @@ func AnalyzeWith(faulty, clean *trace.Trace, opts Options) *Result {
 		// not reached it yet (this is how memory-targeted faults surface:
 		// the flipped cell first appears as a load source).
 		anyTaintedSrc := false
-		for s := 0; s < int(r2n(fr.NSrc)); s++ {
-			loc := fr.Src[s]
+		for s := 0; s < f.NSrc(i); s++ {
+			loc := f.Src(i, s)
 			if loc == 0 {
 				continue
 			}
-			if _, ok := tainted[loc]; ok {
+			if ii, ok := tainted[loc]; ok {
 				anyTaintedSrc = true
+				if i > res.Intervals[ii].Begin {
+					lastRead[ii] = i
+				}
 				continue
 			}
-			if valueAware && fr.SrcVal[s] != cr.SrcVal[s] {
-				openInterval(loc, i, fr.SID)
+			if valueAware && f.SrcVal(i, s) != c.SrcVal(i, s) {
+				openInterval(loc, i, sid)
 				if res.InjectionIndex < 0 {
 					res.InjectionIndex = i
 				}
@@ -250,40 +193,39 @@ func AnalyzeWith(faulty, clean *trace.Trace, opts Options) *Result {
 		// Conditional statements have no destination, but a tainted
 		// condition that still takes the correct direction is the
 		// conditional-statement resilience pattern (pattern 3).
-		if fr.Op == ir.OpCondBr && anyTaintedSrc && valueAware && fr.Taken == cr.Taken {
-			res.Events = append(res.Events, Event{RecIndex: i, Loc: fr.Src[0], Kind: Masked, SID: fr.SID})
+		if f.Op(i) == ir.OpCondBr && anyTaintedSrc && valueAware && f.Taken(i) == c.Taken(i) {
+			res.Events = append(res.Events, Event{RecIndex: i, Loc: f.Src(i, 0), Kind: Masked, SID: sid})
 		}
 
-		if fr.HasDst() {
+		if dst := f.Dst(i); dst != 0 {
+			_, dstTainted := tainted[dst]
 			switch {
-			case valueAware && fr.DstVal != cr.DstVal:
+			case valueAware && f.DstVal(i) != c.DstVal(i):
 				// Destination is wrong (whether or not taint explains it
 				// — covers FaultDst injections directly).
 				if res.InjectionIndex < 0 {
 					res.InjectionIndex = i
 				}
-				if _, ok := tainted[fr.Dst]; !ok {
-					openInterval(fr.Dst, i, fr.SID)
+				if !dstTainted {
+					openInterval(dst, i, sid)
 				}
-			case valueAware && fr.DstVal == cr.DstVal:
+			case valueAware:
 				// Correct value written. If the destination was tainted it
 				// has been overwritten clean; if sources were tainted the
 				// operation masked the error.
-				if _, ok := tainted[fr.Dst]; ok {
-					closeInterval(fr.Dst, i, fr.SID, true)
+				if dstTainted {
+					closeInterval(dst, i, sid)
 				}
 				if anyTaintedSrc {
-					res.Events = append(res.Events, Event{RecIndex: i, Loc: fr.Dst, Kind: Masked, SID: fr.SID})
+					res.Events = append(res.Events, Event{RecIndex: i, Loc: dst, Kind: Masked, SID: sid})
 				}
-			case !valueAware && anyTaintedSrc:
+			case anyTaintedSrc:
 				// Conservative taint after divergence.
-				if _, ok := tainted[fr.Dst]; !ok {
-					openInterval(fr.Dst, i, fr.SID)
+				if !dstTainted {
+					openInterval(dst, i, sid)
 				}
-			case !valueAware:
-				if _, ok := tainted[fr.Dst]; ok {
-					closeInterval(fr.Dst, i, fr.SID, true)
-				}
+			case dstTainted:
+				closeInterval(dst, i, sid)
 			}
 		}
 	}
@@ -291,45 +233,37 @@ func AnalyzeWith(faulty, clean *trace.Trace, opts Options) *Result {
 	// Liveness refinement: an interval not closed by an overwrite actually
 	// ends at the last read of the location within it; with no read at
 	// all, the corrupted value was dead on arrival.
-	if opts.SkipLiveness {
-		return finishSeries(res, n, sc)
-	}
-	for ii := range res.Intervals {
-		iv := &res.Intervals[ii]
-		if iv.ByOverwrite {
-			continue
-		}
-		rs := reads[iv.Loc]
-		// Find the last read in (iv.Begin, iv.End).
-		lo := sort.Search(len(rs), func(k int) bool { return rs[k] > int32(iv.Begin) })
-		hi := sort.Search(len(rs), func(k int) bool { return rs[k] >= int32(iv.End) })
-		if lo >= hi {
-			// Never read while corrupted: dead immediately after Begin.
-			end := iv.Begin + 1
-			if end > n {
-				end = n
+	if !opts.SkipLiveness {
+		for ii := range res.Intervals {
+			iv := &res.Intervals[ii]
+			if iv.ByOverwrite {
+				continue
 			}
-			iv.End = end
-			res.Events = append(res.Events, Event{RecIndex: iv.Begin, Loc: iv.Loc, Kind: DeadUnused, SID: frecs.SID(iv.Begin)})
-			continue
-		}
-		last := int(rs[hi-1])
-		if last+1 < iv.End {
-			iv.End = last + 1
-			res.Events = append(res.Events, Event{RecIndex: last, Loc: iv.Loc, Kind: DeadUnused, SID: frecs.SID(last)})
+			last := lastRead[ii]
+			if last < 0 {
+				// Never read while corrupted: dead immediately after Begin.
+				iv.End = min(iv.Begin+1, n)
+				res.Events = append(res.Events, Event{RecIndex: iv.Begin, Loc: iv.Loc, Kind: DeadUnused, SID: f.SID(iv.Begin)})
+				continue
+			}
+			if last+1 < iv.End {
+				iv.End = last + 1
+				res.Events = append(res.Events, Event{RecIndex: last, Loc: iv.Loc, Kind: DeadUnused, SID: f.SID(last)})
+			}
 		}
 	}
-
-	return finishSeries(res, n, sc)
+	return finishSeries(res, n)
 }
 
 // finishSeries materializes Series/Peak from the intervals and sorts events.
-// The sweep buffer comes from the pooled scratch.
-func finishSeries(res *Result, n int, sc *scratch) *Result {
-	if cap(sc.diff) < n+1 {
-		sc.diff = make([]int32, n+1)
+// The sweep buffer comes from diffPool.
+func finishSeries(res *Result, n int) *Result {
+	buf := diffPool.Get().(*[]int32)
+	defer diffPool.Put(buf)
+	if cap(*buf) < n+1 {
+		*buf = make([]int32, n+1)
 	}
-	diff := sc.diff[:n+1]
+	diff := (*buf)[:n+1]
 	clear(diff)
 	for _, iv := range res.Intervals {
 		if iv.Begin >= n || iv.End <= iv.Begin {
@@ -351,8 +285,6 @@ func finishSeries(res *Result, n int, sc *scratch) *Result {
 	sort.SliceStable(res.Events, func(a, b int) bool { return res.Events[a].RecIndex < res.Events[b].RecIndex })
 	return res
 }
-
-func r2n(n uint8) int { return int(n) }
 
 // SeriesInSpan extracts the ACL sub-series covering one region-instance span.
 func (r *Result) SeriesInSpan(s trace.Span) []int32 {
@@ -414,19 +346,15 @@ func TrackLocation(faulty, clean *trace.Trace, loc trace.Loc, t ir.Type, errMag 
 	if clean.Recs.Len() < n {
 		n = clean.Recs.Len()
 	}
+	f, c := &faulty.Recs, &clean.Recs
 	var out []MagPoint
 	for i := 0; i < n; i++ {
-		fr, cr := faulty.Recs.At(i), clean.Recs.At(i)
-		if fr.SID != cr.SID {
+		if f.SID(i) != c.SID(i) {
 			break // control-flow divergence; stop matching
 		}
-		if fr.HasDst() && fr.Dst == loc {
-			out = append(out, MagPoint{
-				RecIndex: i,
-				Correct:  cr.DstVal,
-				Faulty:   fr.DstVal,
-				ErrMag:   errMag(cr.DstVal, fr.DstVal, t),
-			})
+		if f.Dst(i) == loc && loc != 0 {
+			cv, fv := c.DstVal(i), f.DstVal(i)
+			out = append(out, MagPoint{RecIndex: i, Correct: cv, Faulty: fv, ErrMag: errMag(cv, fv, t)})
 		}
 	}
 	return out

@@ -65,13 +65,10 @@ type spanKey struct {
 	instance int
 }
 
-// cacheEntry is one LRU slot: the instance's clean graph and, once derived,
-// its input locations (they ride the same slot so both expire together).
+// cacheEntry is one LRU slot: the instance's clean graph.
 type cacheEntry struct {
-	key       spanKey
-	graph     *dddg.Graph
-	inputs    []trace.Loc
-	hasInputs bool
+	key   spanKey
+	graph *dddg.Graph
 }
 
 func newCleanIndex(newMachine func() (*interp.Machine, error), verify func(*trace.Trace) bool, prog *ir.Program, clean *trace.Trace) *CleanIndex {
@@ -181,32 +178,10 @@ func (ix *CleanIndex) Graph(s trace.Span) *dddg.Graph {
 }
 
 // InputLocs returns the memory input locations of a clean region instance
-// (read-before-written in its span), cached alongside its Graph. Callers
-// must not mutate the returned slice.
+// (read-before-written in its span), computed once by its cached Graph.
+// Callers must not mutate the returned slice.
 func (ix *CleanIndex) InputLocs(s trace.Span) []trace.Loc {
-	key := spanKey{s.RegionID, s.Instance}
-	ix.mu.Lock()
-	if e, ok := ix.entries[key]; ok {
-		if ce := e.Value.(*cacheEntry); ce.hasInputs {
-			ix.lru.MoveToFront(e)
-			locs := ce.inputs
-			ix.mu.Unlock()
-			return locs
-		}
-	}
-	ix.mu.Unlock()
-	locs := ix.Graph(s).InputMemLocs()
-	ix.mu.Lock()
-	// Graph ensured an entry moments ago; if heavy eviction already expired
-	// it, the computed locations are simply returned uncached.
-	if e, ok := ix.entries[key]; ok {
-		ce := e.Value.(*cacheEntry)
-		ce.inputs = locs
-		ce.hasInputs = true
-		ix.lru.MoveToFront(e)
-	}
-	ix.mu.Unlock()
-	return locs
+	return ix.Graph(s).InputMemLocs()
 }
 
 // FaultyTrace runs the application once with the fault under full tracing,

@@ -79,21 +79,23 @@ func CompareRegion(clean *trace.Trace, cs trace.Span, faulty *trace.Trace, fs tr
 // the clean graph is built once (e.g. cached in a core.CleanIndex) and
 // reused across every per-fault comparison instead of being reconstructed
 // per call. The graph remembers the trace and span it was built from, so
-// only the faulty side is passed.
+// only the faulty side is passed. No graph is built for the faulty side:
+// the comparison reads only each memory location's external (read before
+// written) and final value there, which memValues collects in one pass.
 func CompareRegionWith(gClean *Graph, faulty *trace.Trace, fs trace.Span) *RegionComparison {
-	gFaulty := Build(faulty, fs)
+	fvals := gClean.memValues(faulty, fs)
 
 	res := &RegionComparison{DivergedAt: Diverged(gClean.src, gClean.span, faulty, fs)}
 
 	// Inputs: memory locations read-before-written in the clean region.
 	for _, loc := range gClean.InputMemLocs() {
-		cv, _ := inputValue(gClean, loc)
-		fv, ok := inputValue(gFaulty, loc)
-		if !ok {
+		cn := gClean.Nodes[gClean.externals[loc]]
+		fv := fvals[gClean.memSlot[loc]]
+		if !fv.hasExt {
 			continue // control-flow divergence removed the read
 		}
-		if cv != fv {
-			d := LocDelta{Loc: loc, Correct: cv, Faulty: fv, Typ: inputType(gClean, loc), ErrMag: ErrMag(cv, fv, inputType(gClean, loc))}
+		if cn.Val != fv.ext {
+			d := LocDelta{Loc: loc, Correct: cn.Val, Faulty: fv.ext, Typ: cn.Typ, ErrMag: ErrMag(cn.Val, fv.ext, cn.Typ)}
 			res.CorruptedInputs = append(res.CorruptedInputs, d)
 			if !math.IsInf(d.ErrMag, 1) && d.ErrMag > res.MaxInputErr {
 				res.MaxInputErr = d.ErrMag
@@ -104,16 +106,13 @@ func CompareRegionWith(gClean *Graph, faulty *trace.Trace, fs trace.Span) *Regio
 	// Outputs: memory locations written in the clean region, compared at
 	// their final values.
 	for _, loc := range gClean.WrittenMemLocs() {
-		cv, _ := gClean.FinalValue(loc)
-		fv, ok := gFaulty.FinalValue(loc)
-		if !ok {
-			// The faulty run never wrote it: treat the incoming faulty
-			// value as its final value if present, else skip.
-			continue
+		cn := gClean.Nodes[gClean.final[loc]]
+		fv := fvals[gClean.memSlot[loc]]
+		if !fv.seen {
+			continue // the faulty run never touched it
 		}
-		if cv != fv {
-			t := finalType(gClean, loc)
-			d := LocDelta{Loc: loc, Correct: cv, Faulty: fv, Typ: t, ErrMag: ErrMag(cv, fv, t)}
+		if cn.Val != fv.final {
+			d := LocDelta{Loc: loc, Correct: cn.Val, Faulty: fv.final, Typ: cn.Typ, ErrMag: ErrMag(cn.Val, fv.final, cn.Typ)}
 			res.CorruptedOutputs = append(res.CorruptedOutputs, d)
 			if !math.IsInf(d.ErrMag, 1) && d.ErrMag > res.MaxOutputErr {
 				res.MaxOutputErr = d.ErrMag
@@ -131,24 +130,41 @@ func CompareRegionWith(gClean *Graph, faulty *trace.Trace, fs trace.Span) *Regio
 	return res
 }
 
-func inputValue(g *Graph, loc trace.Loc) (ir.Word, bool) {
-	id, ok := g.externals[loc]
-	if !ok {
-		return 0, false
-	}
-	return g.Nodes[id].Val, true
+// memValue is one memory location's values over a span: ext is the value
+// it flowed in with (valid when hasExt, i.e. it was read before any write)
+// and final the last value it held (valid when seen).
+type memValue struct {
+	ext, final   ir.Word
+	hasExt, seen bool
 }
 
-func inputType(g *Graph, loc trace.Loc) ir.Type {
-	if id, ok := g.externals[loc]; ok {
-		return g.Nodes[id].Typ
+// memValues collects, for every memory location of g's span, its external
+// and final value in span of t, under Build's versioning rules: region
+// markers are skipped, a source seen before any version is external (and
+// final), and a write makes a new final version. Locations outside g's span
+// cannot affect a comparison against g and are not tracked.
+func (g *Graph) memValues(t *trace.Trace, span trace.Span) []memValue {
+	g.computeMemLocs()
+	r := &t.Recs
+	vals := make([]memValue, len(g.memSlot))
+	end := min(span.End, r.Len())
+	for i := span.Start; i < end; i++ {
+		if op := r.Op(i); op == ir.OpRegionEnter || op == ir.OpRegionExit {
+			continue
+		}
+		for s := 0; s < r.NSrc(i); s++ {
+			if loc := r.Src(i, s); loc.IsMem() {
+				if k, ok := g.memSlot[loc]; ok && !vals[k].seen {
+					v := r.SrcVal(i, s)
+					vals[k] = memValue{ext: v, final: v, hasExt: true, seen: true}
+				}
+			}
+		}
+		if loc := r.Dst(i); loc.IsMem() {
+			if k, ok := g.memSlot[loc]; ok {
+				vals[k].final, vals[k].seen = r.DstVal(i), true
+			}
+		}
 	}
-	return ir.F64
-}
-
-func finalType(g *Graph, loc trace.Loc) ir.Type {
-	if id, ok := g.final[loc]; ok {
-		return g.Nodes[id].Typ
-	}
-	return ir.F64
+	return vals
 }

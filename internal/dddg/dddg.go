@@ -8,8 +8,10 @@ package dddg
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
+	"sync"
 
 	"fliptracker/internal/ir"
 	"fliptracker/internal/trace"
@@ -53,6 +55,14 @@ type Graph struct {
 	outDegree []int32
 	span      trace.Span
 	src       *trace.Trace
+
+	// memLocs fills inputMem, writtenMem and memSlot on first use; a graph
+	// is immutable after Build, so one computation serves every comparison
+	// against it. memSlot numbers the memory locations of the span, so a
+	// comparison keeps the other side's values in a slice indexed by slot.
+	memLocs              sync.Once
+	inputMem, writtenMem []trace.Loc
+	memSlot              map[trace.Loc]int32
 }
 
 // Build constructs the DDDG for the given span of t. Records outside the
@@ -159,26 +169,41 @@ func (g *Graph) FinalValue(loc trace.Loc) (ir.Word, bool) {
 }
 
 // WrittenMemLocs returns every memory location written in the span, sorted.
+// The slice is shared: callers must not mutate it.
 func (g *Graph) WrittenMemLocs() []trace.Loc {
-	seen := map[trace.Loc]bool{}
-	for _, n := range g.Nodes {
-		if !n.External && n.Loc.IsMem() {
-			seen[n.Loc] = true
-		}
-	}
-	return sortedLocs(seen)
+	g.computeMemLocs()
+	return g.writtenMem
 }
 
 // InputMemLocs returns every memory location read-before-written in the span
-// (the true region inputs among globals), sorted.
+// (the true region inputs among globals), sorted. The slice is shared:
+// callers must not mutate it.
 func (g *Graph) InputMemLocs() []trace.Loc {
-	seen := map[trace.Loc]bool{}
-	for loc := range g.externals {
-		if loc.IsMem() {
-			seen[loc] = true
+	g.computeMemLocs()
+	return g.inputMem
+}
+
+// computeMemLocs derives both memory location lists from the version maps:
+// every location seen has a final version, an external one if it was read
+// before written, and its final version is a write if it was written at all.
+func (g *Graph) computeMemLocs() {
+	g.memLocs.Do(func() {
+		g.memSlot = map[trace.Loc]int32{}
+		for loc, id := range g.final { //ftlint:ok both lists are sorted below; slot numbers only index scratch slices
+			if !loc.IsMem() {
+				continue
+			}
+			g.memSlot[loc] = int32(len(g.memSlot))
+			if _, ok := g.externals[loc]; ok {
+				g.inputMem = append(g.inputMem, loc)
+			}
+			if !g.Nodes[id].External {
+				g.writtenMem = append(g.writtenMem, loc)
+			}
 		}
-	}
-	return sortedLocs(seen)
+		slices.Sort(g.inputMem)
+		slices.Sort(g.writtenMem)
+	})
 }
 
 // OutputLocs returns the memory locations written in the span that are read
@@ -207,7 +232,7 @@ func (g *Graph) OutputLocs(t *trace.Trace) []trace.Loc {
 
 func sortedLocs(set map[trace.Loc]bool) []trace.Loc {
 	out := make([]trace.Loc, 0, len(set))
-	for l := range set {
+	for l := range set { //ftlint:ok keys are sorted before return
 		out = append(out, l)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })

@@ -236,77 +236,76 @@ func DetectRepeatedAdditions(faulty, clean *trace.Trace, span trace.Span) []RAEv
 // spans of the same region: the amortization usually plays out across
 // *instances* (MG's psinv is re-invoked every V-cycle; the per-invocation
 // error decay is exactly Table II), so the write history of a location is
-// accumulated across all given spans.
+// accumulated across all given spans. Evidence is reported in the order of
+// each location's first write.
 func DetectRepeatedAdditionsInSpans(faulty, clean *trace.Trace, spans []trace.Span) []RAEvidence {
-	type hist struct {
-		mags    []float64
-		lastIdx int
-		isAccum bool
+	// raState is the part of a location's write history the verdict reads:
+	// the write count, the first write with a nonzero error (position and
+	// magnitude; firstPos < 0 until one occurs), and the last write.
+	type raState struct {
+		loc      trace.Loc
+		writes   int
+		firstPos int
+		firstMag float64
+		lastMag  float64
+		lastIdx  int
+		isAccum  bool
 	}
-	hs := map[trace.Loc]*hist{}
+	var states []raState
+	index := map[trace.Loc]int{}
+	f, c := &faulty.Recs, &clean.Recs
 	for _, span := range spans {
-		n := span.End
-		if n > faulty.Recs.Len() {
-			n = faulty.Recs.Len()
-		}
-		if n > clean.Recs.Len() {
-			n = clean.Recs.Len()
-		}
+		n := min(span.End, f.Len(), c.Len())
 		for i := span.Start; i < n; i++ {
-			fr, cr := faulty.Recs.At(i), clean.Recs.At(i)
-			if fr.SID != cr.SID {
+			if f.SID(i) != c.SID(i) {
 				break
 			}
-			if fr.Op != ir.OpStore || !fr.Dst.IsMem() {
+			dst := f.Dst(i)
+			if f.Op(i) != ir.OpStore || !dst.IsMem() {
 				continue
 			}
-			h := hs[fr.Dst]
-			if h == nil {
-				h = &hist{}
-				hs[fr.Dst] = h
+			k, ok := index[dst]
+			if !ok {
+				k = len(states)
+				index[dst] = k
+				states = append(states, raState{loc: dst, firstPos: -1})
 			}
-			h.mags = append(h.mags, dddg.ErrMag(cr.DstVal, fr.DstVal, fr.Typ))
-			h.lastIdx = i
+			st := &states[k]
+			mag := dddg.ErrMag(c.DstVal(i), f.DstVal(i), f.Typ(i))
+			if st.firstPos < 0 && mag > 0 {
+				st.firstPos, st.firstMag = st.writes, mag
+			}
+			st.writes++
+			st.lastMag, st.lastIdx = mag, i
 			// Accumulation heuristic: the stored value chain includes an
 			// FAdd in the preceding records of this store (checked cheaply
 			// by looking back a short window for an fadd writing the
 			// source reg).
-			for j := i - 1; j >= span.Start && j > i-8; j-- {
-				pr := faulty.Recs.At(j)
-				if pr.Op == ir.OpFAdd && pr.HasDst() && pr.Dst == fr.Src[0] {
-					h.isAccum = true
-					break
+			if !st.isAccum {
+				src := f.Src(i, 0)
+				for j := i - 1; j >= span.Start && j > i-8; j-- {
+					if f.Op(j) == ir.OpFAdd && f.Dst(j) == src && src != 0 {
+						st.isAccum = true
+						break
+					}
 				}
 			}
 		}
 	}
 	var out []RAEvidence
-	for loc, h := range hs {
-		if !h.isAccum || len(h.mags) < 2 {
+	for _, st := range states {
+		// Require a corrupted write that is not the last one, and a final
+		// magnitude strictly smaller than the first corrupted one.
+		if !st.isAccum || st.firstPos < 0 || st.firstPos == st.writes-1 || !(st.lastMag < st.firstMag) {
 			continue
 		}
-		// Find the first corrupted write; require the final magnitude to
-		// be finite, nonzero-error history, and strictly smaller.
-		first := -1
-		for i, m := range h.mags {
-			if m > 0 {
-				first = i
-				break
-			}
-		}
-		if first < 0 || first == len(h.mags)-1 {
-			continue
-		}
-		last := h.mags[len(h.mags)-1]
-		if last < h.mags[first] {
-			out = append(out, RAEvidence{
-				Loc:          loc,
-				Writes:       len(h.mags) - first,
-				FirstMag:     h.mags[first],
-				LastMag:      last,
-				LastRecIndex: h.lastIdx,
-			})
-		}
+		out = append(out, RAEvidence{
+			Loc:          st.loc,
+			Writes:       st.writes - st.firstPos,
+			FirstMag:     st.firstMag,
+			LastMag:      st.lastMag,
+			LastRecIndex: st.lastIdx,
+		})
 	}
 	return out
 }

@@ -336,3 +336,42 @@ func TestDetectorMatchesDetect(t *testing.T) {
 		}
 	}
 }
+
+// TestRepeatedAdditionsEvidenceOrder pins repeated-addition evidence to the
+// order of each location's first write, whatever order later writes take.
+func TestRepeatedAdditionsEvidenceOrder(t *testing.T) {
+	addrs := []int64{300, 100, 200} // first-write order
+	var cleanRecs, faultyRecs []trace.Rec
+	for it := 0; it < 5; it++ {
+		for k := range addrs {
+			if it%2 == 1 {
+				k = len(addrs) - 1 - k // later writes in reverse order
+			}
+			reg := trace.RegLoc(0, ir.Reg(k+1))
+			correct := float64(10 * (it + 1))
+			for _, run := range []struct {
+				recs *[]trace.Rec
+				val  float64
+			}{{&cleanRecs, correct}, {&faultyRecs, correct + 1}} {
+				v := ir.F64Word(run.val)
+				*run.recs = append(*run.recs,
+					trace.Rec{SID: int32(2 * k), Op: ir.OpFAdd, Typ: ir.F64, RegionID: -1, Dst: reg, DstVal: v},
+					trace.Rec{SID: int32(2*k + 1), Op: ir.OpStore, Typ: ir.F64, RegionID: -1, Dst: trace.MemLoc(addrs[k]), DstVal: v,
+						NSrc: 1, Src: [2]trace.Loc{reg}, SrcVal: [2]ir.Word{v}})
+			}
+		}
+	}
+	clean := &trace.Trace{Recs: trace.MakeRecs(cleanRecs...)}
+	faulty := &trace.Trace{Recs: trace.MakeRecs(faultyRecs...)}
+	for rep := 0; rep < 20; rep++ {
+		ev := DetectRepeatedAdditions(faulty, clean, wholeSpan(faulty))
+		if len(ev) != len(addrs) {
+			t.Fatalf("got %d evidence entries, want %d: %+v", len(ev), len(addrs), ev)
+		}
+		for i, e := range ev {
+			if e.Loc != trace.MemLoc(addrs[i]) || e.Writes != 5 {
+				t.Fatalf("evidence %d = %v over %d writes, want %v over 5 (order %+v)", i, e.Loc, e.Writes, trace.MemLoc(addrs[i]), ev)
+			}
+		}
+	}
+}

@@ -115,7 +115,7 @@ func CountRates(t *trace.Trace) Rates {
 		}
 	}
 	// Versions still live at program end that were never read are dead too.
-	for loc := range lastWrite {
+	for loc := range lastWrite { //ftlint:ok +1 increments only, exact in float64, so the counts are order-independent
 		versions++
 		if !readSince[loc] {
 			deadVersions++
