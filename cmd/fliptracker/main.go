@@ -284,11 +284,15 @@ func cmdCampaign(args []string) error {
 	shards := fs.Int("shards", 0, "split the fault-index space into N ranges and run them through the shard coordinator (0: plain in-process run); the merged stream and results are identical either way")
 	fs.Parse(args)
 
-	if *shards < 0 {
+	switch {
+	case *shards < 0:
 		return fmt.Errorf("-shards must be non-negative")
-	}
-	if *shards > 0 && *analyze {
+	case *shards > 0 && *analyze:
 		return fmt.Errorf("-shards does not combine with -analyze (the coordinator merges outcome streams, not analysis payloads)")
+	case *staticPrune && *analyze:
+		return fmt.Errorf("-staticprune does not combine with -analyze (pruned faults produce no trace to analyze)")
+	case *journalPath != "" && *analyze:
+		return fmt.Errorf("-journal does not combine with -analyze (analysis payloads are not journaled)")
 	}
 
 	// A journaled campaign is resumable by construction; -resume only
@@ -349,9 +353,6 @@ func cmdCampaign(args []string) error {
 		copts = append(copts, inject.WithEarlyStop(0.95, 0.03))
 	}
 	if *staticPrune {
-		if *analyze {
-			return fmt.Errorf("-staticprune does not combine with -analyze (pruned faults produce no trace to analyze)")
-		}
 		pruner, err := an.StaticPruner()
 		if err != nil {
 			return err
@@ -359,16 +360,9 @@ func cmdCampaign(args []string) error {
 		copts = append(copts, inject.WithStaticPrune(pruner))
 	}
 	if *journalPath != "" {
-		if *analyze {
-			return fmt.Errorf("-journal does not combine with -analyze (analysis payloads are not journaled)")
-		}
-		// A sharded campaign journals its merged stream through the
-		// coordinator (same format, same header); the engine journal is for
-		// plain in-process runs.
+		// The coordinator journals the (merged) stream; its journal is the
+		// engine's own format and header.
 		copts = append(copts, inject.WithJournalApp(*app))
-		if *shards == 0 {
-			copts = append(copts, inject.WithJournal(*journalPath))
-		}
 	}
 
 	fmt.Printf("campaign on %s (%s): %d tests\n", *app, pop, n)
@@ -404,7 +398,7 @@ func cmdCampaign(args []string) error {
 				fmt.Printf("  %-25s %d\n", patterns.Pattern(p), patternCounts[p])
 			}
 		}
-	case *shards > 0:
+	default:
 		c, err := an.NewCampaign(pop, copts...)
 		if err != nil {
 			return err
@@ -417,24 +411,11 @@ func cmdCampaign(args []string) error {
 		if err != nil {
 			return err
 		}
-		if *stream {
-			for fo, err := range co.Stream(ctx) {
-				if err != nil {
-					runErr = err
-					break
-				}
-				r.Count(fo.Outcome)
-				fmt.Printf("#%-6d %-32s -> %s\n", fo.Index, fo.Fault.String(), fo.Outcome)
-			}
-		} else {
+		if !*stream {
 			r, runErr = co.Run(ctx)
+			break
 		}
-	case *stream:
-		c, err := an.NewCampaign(pop, copts...)
-		if err != nil {
-			return err
-		}
-		for fo, err := range c.Stream(ctx) {
+		for fo, err := range co.Stream(ctx) {
 			if err != nil {
 				runErr = err
 				break
@@ -442,12 +423,6 @@ func cmdCampaign(args []string) error {
 			r.Count(fo.Outcome)
 			fmt.Printf("#%-6d %-32s -> %s\n", fo.Index, fo.Fault.String(), fo.Outcome)
 		}
-	default:
-		c, err := an.NewCampaign(pop, copts...)
-		if err != nil {
-			return err
-		}
-		r, runErr = c.Run(ctx)
 	}
 	if runErr != nil {
 		fmt.Printf("campaign stopped early (%v); partial results over %d tests:\n", runErr, r.Tests)
@@ -463,8 +438,9 @@ func cmdCampaign(args []string) error {
 }
 
 // shardOpts maps the CLI's -shards / -journal flags onto coordinator
-// options: the coordinator owns the journal for sharded runs so the merged
-// stream — not any one shard's — is what resumes.
+// options. Every non-analyzed campaign runs through the coordinator (with
+// -shards 0 it runs inline, exactly as the plain engine), which owns the
+// journal so the merged stream — not any one shard's — is what resumes.
 func shardOpts(shards int, journalPath string) []coord.Option {
 	opts := []coord.Option{coord.WithShards(shards)}
 	if journalPath != "" {
@@ -496,9 +472,6 @@ func mpiCampaign(ctx context.Context, app string, ranks, faultRank, tests int, s
 		copts = append(copts, mpi.WithEarlyStop(0.95, 0.03))
 	}
 	if staticPrune {
-		if analyze {
-			return fmt.Errorf("-staticprune does not combine with -analyze (pruned worlds produce no traces to analyze)")
-		}
 		pruner, err := ma.StaticPruner()
 		if err != nil {
 			return err
@@ -506,13 +479,7 @@ func mpiCampaign(ctx context.Context, app string, ranks, faultRank, tests int, s
 		copts = append(copts, mpi.WithStaticPrune(pruner))
 	}
 	if journalPath != "" {
-		if analyze {
-			return fmt.Errorf("-journal does not combine with -analyze (analysis payloads are not journaled)")
-		}
 		copts = append(copts, mpi.WithJournalApp(app))
-		if shards == 0 {
-			copts = append(copts, mpi.WithJournal(journalPath))
-		}
 	}
 	fmt.Printf("MPI campaign on %s: %d ranks, faults on rank %d, %d tests (%s scheduler)\n",
 		app, ranks, faultRank, n, ma.Scheduler)
@@ -557,19 +524,15 @@ func mpiCampaign(ctx context.Context, app string, ranks, faultRank, tests int, s
 		if err != nil {
 			return err
 		}
-		worlds := c.Stream(ctx)
-		if shards > 0 {
-			h, err := coord.MPI(c)
-			if err != nil {
-				return err
-			}
-			co, err := coord.New(h, shardOpts(shards, journalPath)...)
-			if err != nil {
-				return err
-			}
-			worlds = co.Stream(ctx)
+		h, err := coord.MPI(c)
+		if err != nil {
+			return err
 		}
-		for wo, err := range worlds {
+		co, err := coord.New(h, shardOpts(shards, journalPath)...)
+		if err != nil {
+			return err
+		}
+		for wo, err := range co.Stream(ctx) {
 			if err != nil {
 				runErr = err
 				break

@@ -55,7 +55,14 @@ func run(addr, data string, maxRunning, maxCampaigns int, drainTimeout time.Dura
 		MaxRunning:   maxRunning,
 		MaxCampaigns: maxCampaigns,
 	})
-	httpSrv := &http.Server{Addr: addr, Handler: svc}
+	// Header and idle timeouts bound what a slow or idle client can pin. No
+	// WriteTimeout: NDJSON streams follow a campaign for as long as it runs.
+	httpSrv := &http.Server{
+		Addr:              addr,
+		Handler:           svc,
+		ReadHeaderTimeout: 10 * time.Second,
+		IdleTimeout:       2 * time.Minute,
+	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()

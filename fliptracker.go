@@ -615,19 +615,19 @@ func SampleSize(population uint64, confidence, margin float64) int {
 }
 
 // Shard coordinator (internal/coord): split one campaign's fault-index
-// space into contiguous shards, run each shard through the engine's window
-// entry point on parallel workers, and merge the ordered per-shard streams
-// back into the single deterministic fault-index-ordered stream — for a
-// fixed seed, byte-identical to the campaign's own Run/Stream at any shard
-// count. With CoordWithJournal the merged stream is durable under the
-// campaign's own journal identity, so a killed sharded campaign resumes
-// from its last committed outcome (by coordinator or plain engine alike).
+// space into contiguous shards, run the shards concurrently, and merge the
+// ordered per-shard streams back into the single deterministic
+// fault-index-ordered stream — for a fixed seed, byte-identical to the
+// campaign's own Run/Stream at any shard count. With CoordWithJournal the
+// merged stream is durable under the campaign's own journal identity, so a
+// killed sharded campaign resumes from its last committed outcome (by
+// coordinator or plain engine alike).
 type (
 	// CoordShard is one contiguous window [First, Last) of a campaign's
 	// fault-index space.
 	CoordShard = coord.Shard
 	// CoordOption configures a coordinator (CoordWithShards,
-	// CoordWithWorkers, CoordWithJournal, CoordWithProgress).
+	// CoordWithJournal, CoordWithProgress).
 	CoordOption = coord.Option
 	// InjectCoordinator shards a single-process campaign.
 	InjectCoordinator = coord.Coordinator[inject.FaultOutcome]
@@ -638,11 +638,6 @@ type (
 	// that multiplex engines hold — the campaign service does.
 	CoordRunner = coord.Runner
 )
-
-// ErrShardMismatch: the campaign handles given to a multi-handle
-// coordinator do not describe the same campaign (their journal headers
-// differ), so their shard streams cannot be merged.
-var ErrShardMismatch = coord.ErrShardMismatch
 
 // PlanShards splits the index space [0, tests) into at most shards
 // contiguous, non-empty, near-equal windows; their concatenation always
@@ -671,12 +666,8 @@ func NewMPICoordinator(c *MPICampaign, opts ...CoordOption) (*MPICoordinator, er
 }
 
 // CoordWithShards sets how many contiguous windows the fault-index space is
-// split into; the default is one shard per worker. Result-invariant.
+// split into; the default is one. Result-invariant.
 func CoordWithShards(n int) CoordOption { return coord.WithShards(n) }
-
-// CoordWithWorkers sets how many shard workers run concurrently; the
-// default runs every shard at once.
-func CoordWithWorkers(n int) CoordOption { return coord.WithWorkers(n) }
 
 // CoordWithJournal commits the merged stream to a durable journal under the
 // campaign's own identity before each outcome is delivered; resuming

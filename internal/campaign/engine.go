@@ -1,12 +1,22 @@
-// Package campaign provides the ordered fan-out engine shared by the
-// single-process (inject) and multi-rank (mpi) campaign runners: a pre-drawn
-// stream of indexed work items executed over a bounded worker pool, with a
-// reorder buffer delivering results in index order, an optional in-flight
-// window bounding completed-but-unemitted results, prompt context
-// cancellation, and no goroutines outliving the call. The concurrency rules
-// here are subtle (slot-before-index acquisition, the stopped/next emission
-// loop, error-path shutdown); keeping one copy lets both campaign engines
-// share the same proofs.
+// Package campaign is the campaign shell shared by the single-process
+// (inject) and multi-rank (mpi) engines and the shard coordinator (coord).
+// It is written once here and embedded by both engines (Shell): the fault
+// pre-draw from one seeded stream, the sequential early-stopping rule, the
+// journal identity, and the one driver behind Run, Stream, Records and
+// StreamWindow — open and replay the journal, execute the remaining range,
+// commit each outcome before delivering it, report progress, apply early
+// stop. An engine only plans a window and runs unit i of it, and encodes or
+// decodes one journal record (Engine); a coordinator is the same driver with
+// k shards merged in index order (Sharded).
+//
+// Underneath sits the ordered fan-out engine (Run): a pre-drawn stream of
+// indexed work items executed over a bounded worker pool, with a reorder
+// buffer delivering results in index order, an optional in-flight window
+// bounding completed-but-unemitted results, prompt context cancellation,
+// and no goroutines outliving the call. The concurrency rules there are
+// subtle (slot-before-index acquisition, the stopped/next emission loop,
+// error-path shutdown); keeping one copy lets every campaign share the
+// same proofs.
 package campaign
 
 import (
@@ -35,8 +45,7 @@ type Config struct {
 	// First and Last bound the window of indices actually executed:
 	// [First, Last). Indices below First were already delivered by the
 	// caller (e.g. replayed from a durable journal), so the engine
-	// schedules only the window and Progress counts the skipped prefix as
-	// done; indices at or above Last belong to other shards of the same
+	// schedules only the window; indices at or above Last belong to other shards of the same
 	// campaign (a coordinator runs each shard through its own Run and
 	// merges the ordered streams). A non-positive or oversized Last means
 	// Items — so the plain "resume" case is just the Last == Items window.
@@ -55,10 +64,6 @@ type Config struct {
 	// — so the lowest unemitted item always already holds a slot and emission
 	// is never blocked behind slot acquisition (no deadlock).
 	Window int
-	// Progress, when non-nil, is invoked after each emitted result with the
-	// number delivered so far and the planned total. It is called
-	// sequentially (never concurrently) in index order.
-	Progress func(done, total int)
 }
 
 // Run fans the work items out over the pool and delivers results to emit in
@@ -174,9 +179,6 @@ func Run[R any](ctx context.Context, cfg Config, work func(index int) (R, error)
 				// Every pending entry came from a worker holding a slot;
 				// this receive never blocks.
 				<-window
-			}
-			if cfg.Progress != nil {
-				cfg.Progress(next, n)
 			}
 			if !emit(head.res) {
 				stopped = true

@@ -195,49 +195,6 @@ func TestCoordinatorEarlyStop(t *testing.T) {
 	}
 }
 
-// TestShardMismatch: handles describing different campaigns (here: a
-// different fault-stream seed, surfacing as a different header fingerprint
-// via different drawn streams — the seed lives in the header directly) are
-// refused at construction with ErrShardMismatch.
-func TestShardMismatch(t *testing.T) {
-	a, err := coord.Inject(testCampaign(t, 50))
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := coord.Inject(testCampaign(t, 50, inject.WithSeed(7)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := coord.NewMulti([]coord.Campaign[inject.FaultOutcome]{a, b}); !errors.Is(err, coord.ErrShardMismatch) {
-		t.Fatalf("NewMulti over disagreeing campaigns: %v, want ErrShardMismatch", err)
-	}
-	// Two independently built handles of the SAME campaign agree.
-	a2, err := coord.Inject(testCampaign(t, 50))
-	if err != nil {
-		t.Fatal(err)
-	}
-	co, err := coord.NewMulti([]coord.Campaign[inject.FaultOutcome]{a, a2}, coord.WithShards(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref := collectRef(t, testCampaign(t, 50))
-	var got []string
-	for fo, err := range co.Stream(context.Background()) {
-		if err != nil {
-			t.Fatal(err)
-		}
-		got = append(got, digest(fo))
-	}
-	if len(got) != len(ref) {
-		t.Fatalf("multi-handle stream yielded %d outcomes, want %d", len(got), len(ref))
-	}
-	for i := range ref {
-		if got[i] != ref[i] {
-			t.Errorf("multi-handle outcome %d: %s, want %s", i, got[i], ref[i])
-		}
-	}
-}
-
 // TestRejectsJournaledCampaign: a campaign carrying its own journal cannot
 // be sharded — its windows must not journal independently.
 func TestRejectsJournaledCampaign(t *testing.T) {

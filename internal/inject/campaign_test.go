@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 )
@@ -293,5 +294,32 @@ func TestZeroPopulationGuards(t *testing.T) {
 	bad := Mixed{Pickers: []TargetPicker{UniformDst{TotalSteps: 10}, UniformDst{TotalSteps: 0}}}
 	if bad.Validate() == nil {
 		t.Error("Mixed.Validate accepted an empty sub-population")
+	}
+}
+
+// TestStreamWindowBounds pins the window clamping rules of the shard entry
+// point against slices of the full stream: bounds clamp to [0, 20) and an
+// empty or inverted window yields nothing.
+func TestStreamWindowBounds(t *testing.T) {
+	p := buildToleranceProg(t)
+	c := mustCampaign(t, p, UniformDst{TotalSteps: totalSteps(t, p)}, WithTests(20), WithSeed(5))
+	collect := func(seq func(func(FaultOutcome, error) bool)) []FaultOutcome {
+		var out []FaultOutcome
+		for fo, err := range seq {
+			if err != nil {
+				t.Fatal(err)
+			}
+			out = append(out, fo)
+		}
+		return out
+	}
+	full := collect(c.Stream(context.Background()))
+	for _, w := range []struct{ first, last, lo, hi int }{
+		{0, 0, 0, 0}, {5, 0, 0, 0}, {5, -1, 0, 0}, {3, 3, 0, 0}, {-2, 4, 0, 4}, {18, 99, 18, 20},
+	} {
+		got := collect(c.StreamWindow(context.Background(), w.first, w.last))
+		if want := full[w.lo:w.hi]; !slices.Equal(got, want) {
+			t.Errorf("StreamWindow(%d, %d) yielded %d outcomes, want %d", w.first, w.last, len(got), len(want))
+		}
 	}
 }

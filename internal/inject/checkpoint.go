@@ -5,8 +5,8 @@ import (
 	"fmt"
 	"sort"
 
+	"fliptracker/internal/campaign"
 	"fliptracker/internal/interp"
-	"fliptracker/internal/irstatic"
 	"fliptracker/internal/trace"
 )
 
@@ -25,7 +25,9 @@ const DefaultMaxCheckpoints = 4096
 // per-fault assignment of the nearest snapshot at or before its step.
 type checkpointPlan struct {
 	snaps []*interp.Snapshot
-	// assign maps fault index -> snapshot index; -1 replays from step 0.
+	// assign[i-first] is the snapshot index of fault i of the window
+	// starting at first; -1 replays from step 0.
+	first  int
 	assign []int
 }
 
@@ -50,33 +52,29 @@ type checkpointPlan struct {
 // Only the window [first, last) is planned: indices outside it belong to
 // other shards (or a journal's replayed prefix) and never run here, so they
 // neither force checkpoints nor need assignments — a sharded campaign's
-// forward passes each cover just their own window's fault steps.
-func (c *Campaign) planCheckpoints(ctx context.Context, faults []interp.Fault, first, last int) (*checkpointPlan, error) {
-	n := len(faults)
-	// Statically pruned faults never run, so they neither force checkpoints
-	// nor need assignments. Skipping them here is purely a scheduling matter:
-	// assignments are result-invariant, and pruned indices short-circuit in
-	// runFault before consulting the plan.
-	pruned := make([]bool, n)
-	if c.pruner != nil {
-		for i := first; i < last; i++ {
-			if c.pruner.Classify(faults[i]) != irstatic.Live {
-				pruned[i] = true
-			}
-		}
+// forward passes each cover just their own window's fault steps. Statically
+// pruned faults (dead in live) never run either.
+//
+// Direct scheduling is the plan with no checkpoints, every fault assigned
+// -1: the scheduler ScheduleDirect, and analyzed campaigns that cannot
+// stitch the clean prefix (non-monotonic record steps), which replay traced
+// from step 0 and so skip the planning pass entirely.
+func (c *Campaign) planCheckpoints(ctx context.Context, faults []interp.Fault, live campaign.Mask, first, last int) (*checkpointPlan, error) {
+	plan := &checkpointPlan{first: first, assign: make([]int, last-first)}
+	for i := range plan.assign {
+		plan.assign[i] = -1
+	}
+	if c.scheduler != ScheduleCheckpointed || (c.analyze != nil && !c.stitch) {
+		return plan, nil
 	}
 	order := make([]int, 0, last-first)
 	for i := first; i < last; i++ {
-		if !pruned[i] {
+		if live.Live(i) {
 			order = append(order, i)
 		}
 	}
 	if len(order) == 0 {
 		// Everything pruned: no prefix pass needed.
-		plan := &checkpointPlan{assign: make([]int, n)}
-		for i := range plan.assign {
-			plan.assign[i] = -1
-		}
 		return plan, nil
 	}
 	sort.Slice(order, func(a, b int) bool {
@@ -105,10 +103,6 @@ func (c *Campaign) planCheckpoints(ctx context.Context, faults []interp.Fault, f
 	}
 	base.Mode = interp.TraceOff
 
-	plan := &checkpointPlan{assign: make([]int, n)}
-	for i := range plan.assign {
-		plan.assign[i] = -1
-	}
 	baseLive := true
 	for _, idx := range order {
 		if err := ctx.Err(); err != nil {
@@ -134,7 +128,7 @@ func (c *Campaign) planCheckpoints(ctx context.Context, faults []interp.Fault, f
 			}
 		}
 		if len(plan.snaps) > 0 {
-			plan.assign[idx] = len(plan.snaps) - 1
+			plan.assign[idx-first] = len(plan.snaps) - 1
 		}
 	}
 	return plan, nil
@@ -143,17 +137,16 @@ func (c *Campaign) planCheckpoints(ctx context.Context, faults []interp.Fault, f
 // runFault executes one injection from its assigned checkpoint (or from
 // step 0 when none is assigned) and classifies it.
 func (p *checkpointPlan) runFault(c *Campaign, i int, f interp.Fault) (Outcome, any, error) {
-	snapIdx := p.assign[i]
+	var snap *interp.Snapshot
+	if k := p.assign[i-p.first]; k >= 0 {
+		snap = p.snaps[k]
+	}
 	if c.analyze != nil {
 		// Analyzed campaign: run traced from the checkpoint, stitching the
 		// clean prefix in front of the recorded suffix.
-		var snap *interp.Snapshot
-		if snapIdx >= 0 {
-			snap = p.snaps[snapIdx]
-		}
 		return c.runTraced(i, f, snap)
 	}
-	if snapIdx < 0 {
+	if snap == nil {
 		o, err := RunOne(c.mk, c.verify, f)
 		return o, nil, err
 	}
@@ -164,7 +157,7 @@ func (p *checkpointPlan) runFault(c *Campaign, i int, f interp.Fault) (Outcome, 
 	m.Mode = interp.TraceOff
 	m.Fault = &f
 	var tr *trace.Trace
-	if rerr := m.Restore(p.snaps[snapIdx]); rerr == nil {
+	if rerr := m.Restore(snap); rerr == nil {
 		tr, err = m.Resume()
 	} else {
 		// Restore can only fail when MakeMachine rebuilds its program

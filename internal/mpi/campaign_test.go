@@ -3,6 +3,7 @@ package mpi
 import (
 	"context"
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -396,5 +397,31 @@ func TestClassifyPropagationUnits(t *testing.T) {
 	}}
 	if p := ClassifyPropagation(clean, crash, 1); p.Class != WorldCrash || len(p.Ranks) != 1 || p.Ranks[0] != 0 {
 		t.Errorf("world-crash: %v", p)
+	}
+}
+
+// TestStreamWindowBounds pins the window clamping rules of the shard entry
+// point against slices of the full world stream: bounds clamp to [0, 20)
+// and an empty or inverted window yields nothing.
+func TestStreamWindowBounds(t *testing.T) {
+	c := testCampaign(t, 20)
+	collect := func(seq func(func(WorldOutcome, error) bool)) []string {
+		var out []string
+		for wo, err := range seq {
+			if err != nil {
+				t.Fatal(err)
+			}
+			out = append(out, digestOutcome(wo))
+		}
+		return out
+	}
+	full := collect(c.Stream(context.Background()))
+	for _, w := range []struct{ first, last, lo, hi int }{
+		{0, 0, 0, 0}, {5, 0, 0, 0}, {5, -1, 0, 0}, {3, 3, 0, 0}, {-2, 4, 0, 4}, {18, 99, 18, 20},
+	} {
+		got := collect(c.StreamWindow(context.Background(), w.first, w.last))
+		if want := full[w.lo:w.hi]; !slices.Equal(got, want) {
+			t.Errorf("StreamWindow(%d, %d) yielded %d worlds, want %d", w.first, w.last, len(got), len(want))
+		}
 	}
 }

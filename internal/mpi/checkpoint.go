@@ -5,9 +5,8 @@ import (
 	"fmt"
 	"sort"
 
+	"fliptracker/internal/campaign"
 	"fliptracker/internal/interp"
-	"fliptracker/internal/irstatic"
-	"fliptracker/internal/trace"
 )
 
 // DefaultMaxWorldCheckpoints bounds the world snapshots the checkpointed
@@ -25,7 +24,9 @@ const DefaultMaxWorldCheckpoints = 256
 // injected rank.
 type worldPlan struct {
 	snaps []*WorldSnapshot
-	// assign maps fault index -> snapshot index; -1 replays from step 0.
+	// assign[i-first] is the snapshot index of fault i of the window
+	// starting at first; -1 replays from step 0.
+	first  int
 	assign []int
 }
 
@@ -46,20 +47,28 @@ type worldPlan struct {
 // fault stream is drawn before scheduling, the outcomes — and thus the
 // Result — are exactly those of the direct scheduler for the same seed.
 //
-// A nil plan (with nil error) means checkpointing cannot help: the program
-// has no collective rounds, the clean world's cut counts are ragged, or
-// every fault lands before the first cut. Such campaigns replay directly.
+// Direct replay is the plan with no snapshots, every fault assigned -1:
+// the scheduler ScheduleDirect, analyzed campaigns without stitchable
+// (per-rank monotonic) clean traces, and worlds where checkpointing cannot
+// help — no collective rounds, ragged cut counts, or every fault before the
+// first cut.
 //
 // Only the window [first, last) is planned: indices outside it belong to
 // other shards (or a journal's replayed prefix) and never run here, so they
 // neither request cuts nor need assignments — a sharded campaign's forward
-// passes each cover just their own window's fault steps.
-func (c *Campaign) planWorldCheckpoints(ctx context.Context, faults []interp.Fault, first, last int) (*worldPlan, error) {
-	if len(c.clean.Cuts) != c.base.Ranks {
-		// An adopted clean Result without cut logs (WithClean on a Result
-		// assembled outside mpi.Run, e.g. rebuilt from persisted traces):
-		// no boundaries to cut at, so replay directly.
-		return nil, nil
+// passes each cover just their own window's fault steps. Statically pruned
+// faults (dead in live) never replay a world, so they request no cuts
+// either.
+func (c *Campaign) planWorldCheckpoints(ctx context.Context, faults []interp.Fault, live campaign.Mask, first, last int) (*worldPlan, error) {
+	plan := &worldPlan{first: first, assign: make([]int, last-first)}
+	for i := range plan.assign {
+		plan.assign[i] = -1
+	}
+	if c.scheduler != ScheduleCheckpointed || (c.analyze != nil && !c.stitch) || len(c.clean.Cuts) != c.base.Ranks {
+		// The last case is an adopted clean Result without cut logs
+		// (WithClean on a Result assembled outside mpi.Run, e.g. rebuilt
+		// from persisted traces): no boundaries to cut at.
+		return plan, nil
 	}
 	rounds := len(c.clean.Cuts[c.base.FaultRank])
 	for _, cl := range c.clean.Cuts {
@@ -68,7 +77,7 @@ func (c *Campaign) planWorldCheckpoints(ctx context.Context, faults []interp.Fau
 		}
 	}
 	if rounds == 0 {
-		return nil, nil
+		return plan, nil
 	}
 	faultCuts := c.clean.Cuts[c.base.FaultRank][:rounds]
 
@@ -77,16 +86,9 @@ func (c *Campaign) planWorldCheckpoints(ctx context.Context, faults []interp.Fau
 	bestRound := func(step uint64) int {
 		return sort.Search(rounds, func(k int) bool { return faultCuts[k] > step }) - 1
 	}
-	// Statically pruned faults never replay a world, so they request no
-	// cuts and need no assignments (runFault short-circuits them before
-	// consulting the plan). Scheduling-only: assignments are
-	// result-invariant.
-	live := func(f interp.Fault) bool {
-		return c.pruner == nil || c.pruner.Classify(f) == irstatic.Live
-	}
 	want := make(map[int]bool, rounds)
 	for i := first; i < last; i++ {
-		if !live(faults[i]) {
+		if !live.Live(i) {
 			continue
 		}
 		if k := bestRound(faults[i].Step); k >= 0 {
@@ -94,7 +96,7 @@ func (c *Campaign) planWorldCheckpoints(ctx context.Context, faults []interp.Fau
 		}
 	}
 	if len(want) == 0 {
-		return nil, nil
+		return plan, nil
 	}
 	desired := make([]int, 0, len(want))
 	for k := range want { //ftlint:ok keys collected then sorted below
@@ -127,20 +129,16 @@ func (c *Campaign) planWorldCheckpoints(ctx context.Context, faults []interp.Fau
 	if err != nil {
 		return nil, fmt.Errorf("mpi: world checkpoints: %w", err)
 	}
-	plan := &worldPlan{snaps: snaps, assign: make([]int, len(faults))}
-	for i := range plan.assign {
-		plan.assign[i] = -1
-	}
+	plan.snaps = snaps
 	for i := first; i < last; i++ {
-		f := faults[i]
-		if !live(f) {
+		if !live.Live(i) {
 			continue
 		}
-		step := f.Step
+		step := faults[i].Step
 		// The nearest SELECTED cut at or before the fault.
 		for si := len(selected) - 1; si >= 0; si-- {
 			if faultCuts[selected[si]] <= step {
-				plan.assign[i] = si
+				plan.assign[i-first] = si
 				break
 			}
 		}
@@ -150,14 +148,15 @@ func (c *Campaign) planWorldCheckpoints(ctx context.Context, faults []interp.Fau
 
 // runPlanned executes one injected world under the planned scheduler:
 // restored from its assigned world snapshot when one exists, replayed from
-// step 0 otherwise (direct scheduler, no plan, or a fault before the first
+// step 0 otherwise (direct scheduler, no cuts, or a fault before the first
 // cut).
 func (c *Campaign) runPlanned(i int, f *interp.Fault, plan *worldPlan) (*Result, error) {
 	mode := c.worldMode()
-	if plan == nil || plan.assign[i] < 0 {
+	k := plan.assign[i-plan.first]
+	if k < 0 {
 		return c.runWorld(f, mode)
 	}
-	snap := plan.snaps[plan.assign[i]]
+	snap := plan.snaps[k]
 	cfg := c.base
 	cfg.Mode = mode
 	cfg.Fault = f
@@ -168,22 +167,13 @@ func (c *Campaign) runPlanned(i int, f *interp.Fault, plan *worldPlan) (*Result,
 		// buffer with its clean prefix (the records a from-step-0 traced run
 		// laid down before the cut — the pre-fault prefix is fault-free and
 		// deterministic), so the stitched per-rank traces are byte-identical
-		// to direct traced replays. NewCampaign only plans checkpoints for
-		// analyzed campaigns when every rank's clean records are stitchable
-		// (c.stitch).
+		// to direct traced replays. planWorldCheckpoints only lays
+		// checkpoints for analyzed campaigns when every rank's clean records
+		// are stitchable (c.stitch).
 		prime = func(m *interp.Machine, rank int) {
-			prefix := c.cleanPrefix(rank, snap.CutStep(rank))
-			m.PrimeTrace(prefix, uint64(c.clean.Ranks[rank].Trace.Recs.Len())+64)
+			recs := &c.clean.Ranks[rank].Trace.Recs
+			m.PrimeTrace(recs.Before(snap.CutStep(rank)), uint64(recs.Len())+64)
 		}
 	}
 	return RestoreWorld(c.prog, cfg, snap, prime)
-}
-
-// cleanPrefix returns rank's clean-trace records covering dynamic steps
-// below step — exactly the records a traced run laid down before a world cut
-// taken at that step on that rank.
-func (c *Campaign) cleanPrefix(rank int, step uint64) trace.Recs {
-	recs := &c.clean.Ranks[rank].Trace.Recs
-	k := sort.Search(recs.Len(), func(i int) bool { return recs.Step(i) >= step })
-	return recs.Slice(0, k)
 }

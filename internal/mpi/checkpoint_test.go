@@ -27,12 +27,9 @@ func TestPlanWorldCheckpoints(t *testing.T) {
 		{Step: cuts[1] - 1, Bit: 1, Kind: interp.FaultDst}, // just before a cut
 		{Step: steps - 1, Bit: 1, Kind: interp.FaultDst},   // late window
 	}
-	plan, err := c.planWorldCheckpoints(context.Background(), faults, 0, len(faults))
+	plan, err := c.planWorldCheckpoints(context.Background(), faults, nil, 0, len(faults))
 	if err != nil {
 		t.Fatal(err)
-	}
-	if plan == nil {
-		t.Fatal("planner returned no plan for a workload with collective cuts")
 	}
 	if len(plan.snaps) == 0 || len(plan.assign) != len(faults) {
 		t.Fatalf("plan has %d snaps, %d assignments", len(plan.snaps), len(plan.assign))
@@ -64,19 +61,19 @@ func TestPlanWorldCheckpoints(t *testing.T) {
 	// A budget of one keeps a single snapshot, still at or before the late
 	// faults it serves.
 	c1 := testCampaign(t, 4, WithMaxCheckpoints(1))
-	plan1, err := c1.planWorldCheckpoints(context.Background(), faults, 0, len(faults))
+	plan1, err := c1.planWorldCheckpoints(context.Background(), faults, nil, 0, len(faults))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if plan1 == nil || len(plan1.snaps) != 1 {
+	if len(plan1.snaps) != 1 {
 		t.Fatalf("budget 1 laid %v snapshots", plan1)
 	}
 }
 
 // TestCampaignAdoptedCleanWithoutCuts: a WithClean Result assembled outside
 // mpi.Run carries no collective cut log; the checkpointed scheduler must
-// degrade to direct replay (nil plan), not panic, and the campaign must
-// still produce the same outcomes as a direct campaign.
+// degrade to direct replay (a plan with no snapshots), not panic, and the
+// campaign must still produce the same outcomes as a direct campaign.
 func TestCampaignAdoptedCleanWithoutCuts(t *testing.T) {
 	ref := testCampaign(t, 8)
 	stripped := &Result{Ranks: ref.clean.Ranks, Recording: ref.clean.Recording} // no Cuts
@@ -87,11 +84,11 @@ func TestCampaignAdoptedCleanWithoutCuts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, err := c.planWorldCheckpoints(context.Background(), []interp.Fault{{Step: steps - 1}}, 0, 1)
+	plan, err := c.planWorldCheckpoints(context.Background(), []interp.Fault{{Step: steps - 1}}, nil, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if plan != nil {
+	if len(plan.snaps) != 0 || plan.assign[0] != -1 {
 		t.Fatal("cut-less clean world produced a checkpoint plan")
 	}
 	got, err := c.Run(context.Background())

@@ -73,7 +73,7 @@ func TestJournalWorldMismatch(t *testing.T) {
 	c := testCampaign(t, 8)
 	cfg := c.base
 	cfg.FaultRank = 0
-	c2, err := NewCampaign(c.prog, cfg, c.targets, WithTests(8), WithSeed(7), WithJournal(path))
+	c2, err := NewCampaign(c.prog, cfg, c.spec.Targets, WithTests(8), WithSeed(7), WithJournal(path))
 	if err != nil {
 		t.Fatal(err)
 	}

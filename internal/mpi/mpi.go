@@ -6,6 +6,14 @@
 // uninstrumented, and record-and-replay (§V-B) pins down the arrival order
 // of wildcard receives so faulty runs can be matched against fault-free
 // runs.
+//
+// Campaign is the multi-rank campaign engine: a replayed world is its unit
+// of work, with the fault injected into one rank and the cross-rank
+// propagation classified alongside the §II-A outcome. Like inject.Campaign
+// it embeds the shared campaign shell (internal/campaign) for Run, Stream,
+// journaling, early stopping, static pruning and shard windows, and
+// supplies only the world checkpoint plan (collective-boundary cuts) and
+// the per-world run.
 package mpi
 
 import (

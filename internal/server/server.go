@@ -336,6 +336,16 @@ func genID() string {
 	return "c" + hex.EncodeToString(b[:])
 }
 
+// Request bounds: a spec is a few hundred bytes, and the numeric bounds keep
+// one request from asking for an unbounded fault stream, worker pool or
+// world before any campaign work starts.
+const (
+	maxSpecBytes  = 1 << 20
+	maxTests      = 1 << 20
+	maxWorkers    = 1024
+	maxWorldRanks = 64
+)
+
 func (s *Spec) validate() error {
 	if s.App == "" {
 		return fmt.Errorf("app is required")
@@ -343,11 +353,11 @@ func (s *Spec) validate() error {
 	if s.Engine != "inject" && s.Engine != "mpi" {
 		return fmt.Errorf("engine must be %q or %q", "inject", "mpi")
 	}
-	if s.Tests <= 0 {
-		return fmt.Errorf("tests must be positive")
+	if s.Tests <= 0 || s.Tests > maxTests {
+		return fmt.Errorf("tests must be in [1, %d]", maxTests)
 	}
-	if s.Parallelism < 0 || s.Shards < 0 {
-		return fmt.Errorf("parallelism and shards must be non-negative")
+	if s.Parallelism < 0 || s.Shards < 0 || s.Parallelism > maxWorkers || s.Shards > maxWorkers {
+		return fmt.Errorf("parallelism and shards must be in [0, %d]", maxWorkers)
 	}
 	switch s.Scheduler {
 	case "", "checkpointed", "direct":
@@ -355,8 +365,8 @@ func (s *Spec) validate() error {
 		return fmt.Errorf("scheduler must be %q or %q", "checkpointed", "direct")
 	}
 	if s.Engine == "mpi" {
-		if s.Ranks < 1 {
-			return fmt.Errorf("mpi engine needs ranks >= 1")
+		if s.Ranks < 1 || s.Ranks > maxWorldRanks {
+			return fmt.Errorf("mpi engine needs ranks in [1, %d]", maxWorldRanks)
 		}
 		if s.FaultRank < 0 || s.FaultRank >= s.Ranks {
 			return fmt.Errorf("fault_rank %d outside world [0, %d)", s.FaultRank, s.Ranks)
@@ -386,7 +396,7 @@ func (s *Spec) validate() error {
 
 func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 	var spec Spec
-	if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSpecBytes)).Decode(&spec); err != nil {
 		writeError(w, http.StatusBadRequest, "bad spec: %v", err)
 		return
 	}

@@ -204,6 +204,18 @@ func TestServerValidation(t *testing.T) {
 		t.Errorf("malformed body: status %d, want 400", resp.StatusCode)
 	}
 
+	// A body past the size limit is cut off mid-decode: a valid spec
+	// followed by padding inside an unknown field.
+	huge := `{"app":"` + testApp + `","engine":"inject","tests":5,"pad":"` + strings.Repeat("x", maxSpecBytes) + `"}`
+	resp, err = http.Post(ts.URL+"/campaigns", "application/json", strings.NewReader(huge))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("oversized body: status %d, want 400", resp.StatusCode)
+	}
+
 	for name, spec := range map[string]Spec{
 		"no app":       {Engine: "inject", Tests: 5},
 		"bad engine":   {App: testApp, Engine: "spark", Tests: 5},
@@ -215,6 +227,11 @@ func TestServerValidation(t *testing.T) {
 		"bad pop":      {App: testApp, Engine: "inject", Tests: 5, Population: &PopulationSpec{Kind: "everything"}},
 		"bad id":       {ID: "a/b", App: testApp, Engine: "inject", Tests: 5},
 		"bad stop":     {App: testApp, Engine: "inject", Tests: 5, EarlyStop: &EarlyStopSpec{Confidence: 2, Margin: 0.1}},
+		// Input bounds: refused before any campaign is built.
+		"huge tests":       {App: testApp, Engine: "inject", Tests: maxTests + 1},
+		"huge shards":      {App: testApp, Engine: "inject", Tests: 5, Shards: maxWorkers + 1},
+		"huge parallelism": {App: testApp, Engine: "inject", Tests: 5, Parallelism: maxWorkers + 1},
+		"huge world":       {App: "is", Engine: "mpi", Tests: 5, Ranks: maxWorldRanks + 1},
 	} {
 		resp, _ := postSpec(t, ts, spec)
 		if resp.StatusCode != http.StatusBadRequest {

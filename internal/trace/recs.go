@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/gob"
 	"fmt"
+	"sort"
 
 	"fliptracker/internal/ir"
 )
@@ -242,6 +243,13 @@ func (r *Recs) Slice(lo, hi int) Recs {
 		src:    r.src[2*lo : 2*hi],
 		srcVal: r.srcVal[2*lo : 2*hi],
 	}
+}
+
+// Before returns the view of the records of dynamic steps below step — for
+// a fault-free trace with monotonic steps (StepsMonotonic), exactly the
+// records a traced run laid down before a checkpoint taken at that step.
+func (r *Recs) Before(step uint64) Recs {
+	return r.Slice(0, sort.Search(r.Len(), func(i int) bool { return r.step[i] >= step }))
 }
 
 // Clone returns a deep copy with freshly allocated columns.
